@@ -26,15 +26,23 @@ def structural_delta(current: np.ndarray, previous: np.ndarray) -> np.ndarray:
     propagation between consecutive adjacency matrices.  At ``t = 0`` the
     previous adjacency is all-zero, so the deltas reduce to the current
     graph's degree statistics.
+
+    ``A^2 · 1`` is computed as ``A (A 1)``: two mat-vecs, O(N^2) instead
+    of the O(N^3) matrix square.  For integer-valued adjacency (every
+    occlusion graph is 0/1) each intermediate is an integer far below
+    2^53, so the result is byte-equal to the dense
+    ``(A_t^2 - A_{t-1}^2) · 1``; for general float input the two agree
+    only up to rounding.
     """
     current = np.asarray(current, dtype=np.float64)
     previous = np.asarray(previous, dtype=np.float64)
     if current.shape != previous.shape:
         raise ValueError("adjacency shapes differ")
-    ones = np.ones(current.shape[0])
-    e1 = (current - previous) @ ones
-    e2 = (current @ current - previous @ previous) @ ones
-    return np.column_stack([ones, e1, e2])
+    degree = current.sum(axis=1)
+    previous_degree = previous.sum(axis=1)
+    e1 = degree - previous_degree
+    e2 = current @ degree - previous @ previous_degree
+    return np.column_stack([np.ones(current.shape[0]), e1, e2])
 
 
 @dataclass

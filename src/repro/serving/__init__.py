@@ -33,7 +33,13 @@ counterpart (see docs/SERVING.md):
   event schedules (see docs/WORKLOADS.md).
 """
 
-from .engine import PendingStep, SessionEngine, StepTicket
+from .engine import (
+    InvalidFrameError,
+    PendingStep,
+    SessionEngine,
+    StepTicket,
+    validate_frame,
+)
 from .fleet import Fleet, FleetError, FleetStep, HashRing, ShardFailure
 from .replay import PlanOutcome, ReplayDriver
 from .session import (
@@ -73,6 +79,8 @@ __all__ = [
     "SessionEngine",
     "StepTicket",
     "PendingStep",
+    "InvalidFrameError",
+    "validate_frame",
     "ReplayDriver",
     "PlanOutcome",
     "Fleet",

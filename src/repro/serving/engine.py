@@ -44,7 +44,32 @@ from ..obs import DEFAULT_COUNT_BOUNDARIES, EVENTS, PERF
 from .session import RoomSession, RosterChange, SessionMerge, \
     SessionSnapshot, SessionSplit, SessionStep, carried_seeds, merge_change
 
-__all__ = ["StepTicket", "PendingStep", "SessionEngine"]
+__all__ = ["StepTicket", "PendingStep", "SessionEngine", "InvalidFrameError",
+           "validate_frame"]
+
+
+class InvalidFrameError(ValueError):
+    """A submitted frame is not a finite real ``(N, 2)`` position array."""
+
+
+def validate_frame(positions) -> np.ndarray:
+    """Return ``positions`` as float64, or raise :class:`InvalidFrameError`.
+
+    The one frame check shared by :meth:`SessionEngine.submit` and the
+    fleet router, run before any admission side effect so a rejected
+    frame leaves no ticket, queue entry, event or counter behind.
+    """
+    frame = np.asarray(positions)
+    if frame.dtype.kind not in "fiu":
+        raise InvalidFrameError(
+            f"frame dtype {frame.dtype} is not real-valued")
+    if frame.ndim != 2 or frame.shape[1] != 2:
+        raise InvalidFrameError(
+            f"frame shape {frame.shape} is not (num_users, 2)")
+    frame = frame.astype(np.float64, copy=False)
+    if not np.isfinite(frame).all():
+        raise InvalidFrameError("frame has non-finite positions")
+    return frame
 
 
 @dataclass(frozen=True)
@@ -282,12 +307,15 @@ class SessionEngine:
 
         The decision depends only on :attr:`queue_depth`, so the full
         shed/degrade pattern of a run is a deterministic function of
-        the submit/pump call sequence.
+        the submit/pump call sequence.  A frame failing
+        :func:`validate_frame` raises :class:`InvalidFrameError` and
+        leaves the engine untouched.
         """
         if session_id not in self._sessions:
             raise KeyError(f"unknown session {session_id!r}")
         session = self._sessions[session_id]
-        frame_users = int(np.asarray(positions).shape[0])
+        positions = validate_frame(positions)
+        frame_users = positions.shape[0]
         expected = self._tail_users[session_id]
         if frame_users != expected:
             raise ValueError(
@@ -310,7 +338,7 @@ class SessionEngine:
         degraded = (self.degrade_at is not None
                     and self._queued >= self.degrade_at)
         self._queues[session_id].append(
-            PendingStep(positions=np.asarray(positions, dtype=np.float64),
+            PendingStep(positions=positions,
                      degraded=degraded, shed=False,
                      submitted_at=time.perf_counter()))
         self._queued += 1

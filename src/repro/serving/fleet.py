@@ -49,7 +49,7 @@ from ..buffers import FrameShuttle
 from ..core.problem import AfterProblem
 from ..core.recommender import Recommender
 from ..obs import EVENTS, PERF
-from .engine import StepTicket
+from .engine import StepTicket, validate_frame
 from .session import RoomSession, RosterChange, SessionMerge, \
     SessionSplit, merge_change
 from .transport import ChannelClosed, PipeChannel, channel_pair
@@ -294,11 +294,12 @@ class Fleet:
         """Route one frame to the session's shard; returns its ticket.
 
         The admission decision (queue/degrade/shed) is made by the
-        shard's own engine against its share of the fleet budget.
+        shard's own engine against its share of the fleet budget.  An
+        invalid frame raises :class:`~repro.serving.InvalidFrameError`
+        here, before anything crosses the pipe.
         """
         shard = self._sessions[session_id]
-        frame = self._shuttle.put(
-            session_id, np.asarray(positions, dtype=np.float64))
+        frame = self._shuttle.put(session_id, validate_frame(positions))
         return self._call(shard, "submit", session_id, frame)
 
     def submit_many(self, items) -> list[StepTicket]:
@@ -308,22 +309,24 @@ class Fleet:
         of submits costs one pipe round-trip per shard instead of one
         per room.  Per-key shuttle reuse stays safe: a session appears
         at most once per tick, and replies are gathered before the next
-        tick's puts.
+        tick's puts.  Every item is routed and its frame validated
+        before the first send: an unknown session or an invalid frame
+        (:class:`~repro.serving.InvalidFrameError`) rejects the whole
+        call and nothing is sent.
         """
         tickets: list[StepTicket] = []
-        items = list(items)
+        routed = [(self._sessions[session_id], session_id,
+                   validate_frame(positions))
+                  for session_id, positions in items]
         # Chunked so the unread-reply backlog can never fill a pipe and
         # stall a worker mid-write (which would deadlock the router).
         chunk = 256
-        for start in range(0, len(items), chunk):
-            order: list[int] = []
-            for session_id, positions in items[start:start + chunk]:
-                shard = self._sessions[session_id]
-                frame = self._shuttle.put(
-                    session_id, np.asarray(positions, dtype=np.float64))
+        for start in range(0, len(routed), chunk):
+            batch = routed[start:start + chunk]
+            for shard, session_id, positions in batch:
+                frame = self._shuttle.put(session_id, positions)
                 self._send(shard, "submit", session_id, frame)
-                order.append(shard)
-            tickets.extend(self._recv(shard) for shard in order)
+            tickets.extend(self._recv(shard) for shard, _, _ in batch)
         return tickets
 
     def pump(self, max_batches: int | None = None) -> list[FleetStep]:
